@@ -1,14 +1,14 @@
 // Microbenchmarks for the library's hot kernels, in two modes:
 //
 //  1. Google-benchmark (default): GP posterior updates/predictions at growing
-//     history sizes, acquisition argmax over candidate grids, DAG flow solves
-//     and Lagrangian gradients, the saddle-point solve, and the simulator's
+//     history sizes, acquisition argmax over candidate grids, DAG flow solves,
+//     Lagrangian gradients and values, the saddle-point solve, and the simulator's
 //     micro-step rate.  All google-benchmark flags pass through.
 //
 //  2. Speed harness (`--json PATH` and/or `--checks PATH`): the deterministic
 //     reference-vs-optimized comparison behind bench/baselines/BENCH_speed.json.
-//     Each entry times the scalar code path this PR replaced against the
-//     batched/blocked kernel that replaced it, verifies the two produce
+//     Each entry times the reference code path against the batched, blocked
+//     or tape-free kernel that replaced it, verifies the two produce
 //     BIT-IDENTICAL results, and records an FNV-1a checksum over the result
 //     bits.  `--checks` writes a timing-free JSON of just the checksums: CI
 //     runs it at --threads 1 and --threads 8 and cmp's the bytes, which is
@@ -109,6 +109,21 @@ void BM_LagrangianGradientYahoo(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LagrangianGradientYahoo);
+
+void BM_LagrangianValueYahoo(benchmark::State& state) {
+  const auto spec = workloads::yahoo();
+  const dag::FlowSolver flow(spec.dag);
+  const std::size_t n = spec.dag.node_count();
+  std::vector<double> rates(n, 0.0);
+  rates[spec.dag.sources()[0]] = 90'000.0;
+  std::vector<double> caps(n, 50'000.0);
+  std::vector<double> lambda(n, 0.5);
+  std::vector<double> demand(n, 60'000.0);
+  dag::FlowSolver::Scratch scratch;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(flow.lagrangian_value(rates, caps, lambda, demand, scratch));
+}
+BENCHMARK(BM_LagrangianValueYahoo);
 
 void BM_SaddlePointSolveYahoo(benchmark::State& state) {
   const auto spec = workloads::yahoo();
@@ -430,6 +445,55 @@ KernelReport bench_acquisition_argmax(bool timed) {
   return report;
 }
 
+/// The saddle-point objective L(y, lambda) on the Yahoo DAG over a sweep of
+/// capacity vectors.  Reference is the taped FlowSolver::lagrangian(...).value
+/// the coordinate search used to call; optimized is the tape-free
+/// lagrangian_value with one reused scratch, as SaddlePointSolver::solve now
+/// calls it.
+KernelReport bench_lagrangian_value(bool timed) {
+  constexpr std::size_t kPoints = 64;
+  const auto spec = workloads::yahoo();
+  const dag::FlowSolver flow(spec.dag);
+  const std::size_t n = spec.dag.node_count();
+  std::vector<double> rates(n, 0.0);
+  rates[spec.dag.sources()[0]] = 90'000.0;
+  std::vector<double> lambda(n, 0.0);
+  std::vector<double> demand(n, 0.0);
+  common::Rng rng(29);
+  for (dag::NodeId id : spec.dag.operators()) {
+    lambda[id] = rng.uniform(0.005, 1.0);
+    demand[id] = rng.uniform(2e4, 1e5);
+  }
+  std::vector<std::vector<double>> caps(kPoints, std::vector<double>(n, 0.0));
+  for (std::vector<double>& cap : caps)
+    for (dag::NodeId id : spec.dag.operators()) cap[id] = rng.uniform(1e4, 2e5);
+
+  std::vector<double> ref(kPoints);
+  std::vector<double> opt(kPoints);
+  dag::FlowSolver::Scratch scratch;
+  auto reference = [&] {
+    for (std::size_t i = 0; i < kPoints; ++i)
+      ref[i] = flow.lagrangian(rates, caps[i], lambda, demand).value;
+    benchmark::DoNotOptimize(ref.data());
+  };
+  auto optimized = [&] {
+    for (std::size_t i = 0; i < kPoints; ++i)
+      opt[i] = flow.lagrangian_value(rates, caps[i], lambda, demand, scratch);
+    benchmark::DoNotOptimize(opt.data());
+  };
+  reference();
+  optimized();
+
+  KernelReport report{"lagrangian_value", kPoints};
+  report.bit_identical = bytes_equal(ref, opt);
+  report.checksum = checksum_span(kFnvOffset, opt);
+  if (timed) {
+    report.reference_ns = time_per_call_ns(reference);
+    report.optimized_ns = time_per_call_ns(optimized);
+  }
+  return report;
+}
+
 // --- fleet slot latency -----------------------------------------------------
 
 /// Compact clone of fig11_fleet's fleet builder (hot/normal/lull thirds over
@@ -557,6 +621,7 @@ int speed_harness(const common::Flags& flags) {
   kernels.push_back(bench_solve_lower_multi(timed));
   kernels.push_back(bench_predict_batch(timed));
   kernels.push_back(bench_acquisition_argmax(timed));
+  kernels.push_back(bench_lagrangian_value(timed));
 
   common::Table table({"kernel", "work", "reference ns", "optimized ns", "speedup", "bits"});
   bool all_identical = true;

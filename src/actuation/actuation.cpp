@@ -203,16 +203,27 @@ void ActuationManager::progress(dag::NodeId op, Channel& ch) {
       terminate(op, ch, EpochOutcome::kApplied);
       return;
     }
-  } else if (now_running > 0) {
-    // Partial apply: top up the engine with exactly the pods that are
-    // Running.  Each top-up is a real reconfiguration and pays the engine's
-    // checkpoint pause — the transition downtime of a rolling rescale.
-    ch.applied_tasks += now_running;
-    engine_->set_tasks(op, ch.applied_tasks);
-    if (ch.applied_tasks >= live.desired_tasks) {
+  } else {
+    // Partial apply: top up the engine with the pods that are Running, never
+    // past the target.  Each top-up is a real reconfiguration and pays the
+    // engine's checkpoint pause — the transition downtime of a rolling
+    // rescale.  The engine can also move up on its own while pods are
+    // pending (a crash followed by an aborted checkpoint restores the
+    // pre-crash count), so fewer pods may be needed than were requested:
+    // the surplus is released, landed or not.
+    const int room = live.desired_tasks - ch.applied_tasks;
+    if (now_running >= room) {
+      if (ch.applied_tasks != live.desired_tasks) engine_->set_tasks(op, live.desired_tasks);
+      ch.applied_tasks = live.desired_tasks;
       terminate(op, ch, EpochOutcome::kApplied);
       return;
     }
+    if (now_running > 0) {
+      ch.applied_tasks += now_running;
+      engine_->set_tasks(op, ch.applied_tasks);
+    }
+    const auto still_needed = static_cast<std::size_t>(room - now_running);
+    if (live.pods.size() > still_needed) live.pods.resize(still_needed);
   }
   sync_ledger(op, ch);
 }

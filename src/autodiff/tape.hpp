@@ -92,6 +92,13 @@ class Tape {
   std::vector<Node> nodes_;
 };
 
+/// The values Tape::min / Tape::max record, on plain doubles.  Ties go to the
+/// first argument, and any NaN operand selects the second — std::min and
+/// std::max return the first one instead, so they are not interchangeable
+/// with these where a value must match the tape bit for bit.
+[[nodiscard]] inline double min_value(double a, double b) noexcept { return a <= b ? a : b; }
+[[nodiscard]] inline double max_value(double a, double b) noexcept { return a >= b ? a : b; }
+
 // Free-function operator sugar; both operands must live on the same tape.
 Var operator+(Var a, Var b);
 Var operator-(Var a, Var b);

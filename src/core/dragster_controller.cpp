@@ -97,7 +97,7 @@ void DragsterController::observe(const streamsim::JobMonitor& monitor) {
   // model and its y_est_ slot, so the loop is independence-safe; map entries
   // are created serially up front because std::map insertion is not.  A pool
   // of size 1 (the default) runs the identical serial loop.
-  const std::vector<dag::NodeId> ops = dag_->operators();
+  const std::vector<dag::NodeId>& ops = dag_->operators();
   for (dag::NodeId id : ops) models_[id];
   auto update_operator = [&](std::size_t idx) {
     const dag::NodeId id = ops[idx];

@@ -66,6 +66,11 @@ double FlowSolver::app_throughput(std::span<const double> source_rates,
 
 namespace {
 
+// Infinite capacities would poison min() partials; the taped flow clamps them
+// to a huge finite stand-in (the gradient through that branch is zero anyway)
+// and the value path must clamp identically.
+double finite_capacity(double capacity) { return std::isfinite(capacity) ? capacity : 1e18; }
+
 // Shared tape construction for sensitivity() and lagrangian(): records the
 // truncated-flow composition with one Var per operator capacity.
 struct TapedFlow {
@@ -83,12 +88,8 @@ TapedFlow build_taped_flow(const StreamDag& dag, std::span<const double> source_
   autodiff::Tape& tape = *tf.tape;
   tf.y_var.resize(n);
   for (NodeId id = 0; id < n; ++id) {
-    if (dag.component(id).kind == ComponentKind::kOperator) {
-      // Infinite capacities would poison min() partials; clamp to a huge
-      // finite stand-in (gradient through that branch is zero anyway).
-      const double y = std::isfinite(capacity[id]) ? capacity[id] : 1e18;
-      tf.y_var[id] = tape.variable(y);
-    }
+    if (dag.component(id).kind == ComponentKind::kOperator)
+      tf.y_var[id] = tape.variable(finite_capacity(capacity[id]));
   }
 
   std::vector<autodiff::Var> edge_flow(dag.edge_count());
@@ -195,6 +196,57 @@ LagrangianResult FlowSolver::lagrangian(std::span<const double> source_rates,
     if (!std::isfinite(out.constraint[id])) out.constraint[id] = -1e18;
   }
   return out;
+}
+
+double FlowSolver::lagrangian_value(std::span<const double> source_rates,
+                                    std::span<const double> capacity,
+                                    std::span<const double> lambda,
+                                    std::span<const double> observed_demand,
+                                    Scratch& scratch) const {
+  const std::size_t n = dag_.node_count();
+  DRAGSTER_REQUIRE(source_rates.size() == n && capacity.size() == n && lambda.size() == n &&
+                       observed_demand.size() == n,
+                   "source_rates/capacity/lambda/observed_demand must be node-indexed");
+
+  // Mirrors build_taped_flow() and lagrangian() step for step; see the header.
+  std::vector<double>& edge_flow = scratch.edge_flow;
+  std::vector<double>& inputs = scratch.inputs;
+  edge_flow.assign(dag_.edge_count(), 0.0);
+  const NodeId sink = dag_.sink();
+  double sink_inflow = 0.0;
+
+  for (NodeId id : dag_.topo_order()) {
+    const ComponentKind kind = dag_.component(id).kind;
+    if (kind == ComponentKind::kSink) {
+      if (id == sink)
+        for (std::size_t eidx : dag_.in_edges(id)) sink_inflow = sink_inflow + edge_flow[eidx];
+      continue;
+    }
+
+    inputs.clear();
+    if (kind == ComponentKind::kSource) {
+      inputs.push_back(source_rates[id]);
+    } else {
+      for (std::size_t eidx : dag_.in_edges(id)) inputs.push_back(edge_flow[eidx]);
+    }
+
+    const double y = kind == ComponentKind::kOperator ? finite_capacity(capacity[id]) : 0.0;
+    for (std::size_t eidx : dag_.out_edges(id)) {
+      const Edge& edge = dag_.edge(eidx);
+      const double demand = edge.fn->eval_as_taped(inputs);
+      edge_flow[eidx] =
+          kind == ComponentKind::kOperator ? autodiff::min_value(y * edge.alpha, demand) : demand;
+    }
+  }
+
+  double lagr = sink_inflow;
+  for (NodeId id : dag_.operators()) {
+    // draglint:allow(DL004 sparsity skip: an exactly-zero multiplier contributes nothing)
+    if (lambda[id] == 0.0) continue;
+    const double slack = observed_demand[id] - finite_capacity(capacity[id]);
+    lagr = lagr - autodiff::max_value(0.0, slack) * lambda[id];
+  }
+  return lagr;
 }
 
 }  // namespace dragster::dag

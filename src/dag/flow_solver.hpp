@@ -41,6 +41,13 @@ struct Sensitivity {
 
 class FlowSolver {
  public:
+  /// Caller-owned buffers for lagrangian_value(); reused across calls, so a
+  /// warm Scratch makes the call allocation-free.  Use one per thread.
+  struct Scratch {
+    std::vector<double> edge_flow;  ///< realized flow per edge index
+    std::vector<double> inputs;     ///< the input vector one h_{i,j} consumes
+  };
+
   /// The DAG must be validated and must outlive the solver.
   explicit FlowSolver(const StreamDag& dag);
 
@@ -75,6 +82,21 @@ class FlowSolver {
                                             std::span<const double> capacity,
                                             std::span<const double> lambda,
                                             std::span<const double> observed_demand) const;
+
+  /// lagrangian(...).value without the tape or the gradient — the objective
+  /// the saddle-point search evaluates ~100 times per slot.  The result is
+  /// bit-identical to the taped value because every operation is replayed
+  /// in the tape's order and with its rules: edge functions through
+  /// ThroughputFn::eval_as_taped, infinite capacity clamped to 1e18, and
+  /// min/max as autodiff::min_value / max_value.  Those pick the first
+  /// argument on ties and the second whenever an operand is NaN, where
+  /// std::min / std::max pick the first; a NaN observed demand therefore
+  /// makes the value NaN here exactly as it does on the tape.
+  [[nodiscard]] double lagrangian_value(std::span<const double> source_rates,
+                                        std::span<const double> capacity,
+                                        std::span<const double> lambda,
+                                        std::span<const double> observed_demand,
+                                        Scratch& scratch) const;
 
   [[nodiscard]] const StreamDag& dag() const noexcept { return dag_; }
 

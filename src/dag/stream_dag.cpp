@@ -13,6 +13,9 @@ StreamDag::StreamDag(const StreamDag& other)
       in_edges_(other.in_edges_),
       out_edges_(other.out_edges_),
       topo_(other.topo_),
+      sources_(other.sources_),
+      operators_(other.operators_),
+      sink_(other.sink_),
       validated_(other.validated_) {
   edges_.reserve(other.edges_.size());
   for (const Edge& e : other.edges_)
@@ -32,7 +35,10 @@ NodeId StreamDag::add_component(std::string name, ComponentKind kind) {
   components_.push_back(Component{std::move(name), kind});
   in_edges_.emplace_back();
   out_edges_.emplace_back();
-  return components_.size() - 1;
+  const NodeId id = components_.size() - 1;
+  if (kind == ComponentKind::kSource) sources_.push_back(id);
+  if (kind == ComponentKind::kOperator) operators_.push_back(id);
+  return id;
 }
 
 NodeId StreamDag::add_source(std::string name) {
@@ -144,7 +150,16 @@ void StreamDag::validate() {
   }
 
   compute_topo_order();
+  index_kinds();
   validated_ = true;
+}
+
+void StreamDag::index_kinds() {
+  sources_ = nodes_of_kind(ComponentKind::kSource);
+  operators_ = nodes_of_kind(ComponentKind::kOperator);
+  const std::vector<NodeId> sinks = nodes_of_kind(ComponentKind::kSink);
+  DRAGSTER_REQUIRE(sinks.size() == 1, "expected exactly one sink after validate()");
+  sink_ = sinks[0];
 }
 
 void StreamDag::compute_topo_order() {
@@ -174,9 +189,7 @@ std::vector<NodeId> StreamDag::nodes_of_kind(ComponentKind kind) const {
 
 NodeId StreamDag::sink() const {
   DRAGSTER_REQUIRE(validated_, "call validate() first");
-  const auto sinks = nodes_of_kind(ComponentKind::kSink);
-  DRAGSTER_REQUIRE(sinks.size() == 1, "expected exactly one sink after validate()");
-  return sinks[0];
+  return sink_;
 }
 
 const std::vector<NodeId>& StreamDag::topo_order() const {

@@ -75,10 +75,10 @@ class StreamDag {
 
   /// All nodes of a kind, ascending id.
   [[nodiscard]] std::vector<NodeId> nodes_of_kind(ComponentKind kind) const;
-  [[nodiscard]] std::vector<NodeId> sources() const { return nodes_of_kind(ComponentKind::kSource); }
-  [[nodiscard]] std::vector<NodeId> operators() const {
-    return nodes_of_kind(ComponentKind::kOperator);
-  }
+  /// Cached source / operator ids, ascending; kept current by add_*() and
+  /// rebuilt by validate(), which may turn explicit sinks into operators.
+  [[nodiscard]] const std::vector<NodeId>& sources() const noexcept { return sources_; }
+  [[nodiscard]] const std::vector<NodeId>& operators() const noexcept { return operators_; }
 
   /// The unique sink (valid after validate()).
   [[nodiscard]] NodeId sink() const;
@@ -92,12 +92,16 @@ class StreamDag {
  private:
   NodeId add_component(std::string name, ComponentKind kind);
   void compute_topo_order();
+  void index_kinds();
 
   std::vector<Component> components_;
   std::vector<Edge> edges_;
   std::vector<std::vector<std::size_t>> in_edges_;
   std::vector<std::vector<std::size_t>> out_edges_;
   std::vector<NodeId> topo_;
+  std::vector<NodeId> sources_;
+  std::vector<NodeId> operators_;
+  NodeId sink_ = 0;  ///< valid once validated_
   bool validated_ = false;
 };
 

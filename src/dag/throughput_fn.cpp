@@ -58,6 +58,14 @@ autodiff::Var MinWeightedFn::eval_var(autodiff::Tape& tape,
   return best;
 }
 
+double MinWeightedFn::eval_as_taped(std::span<const double> inputs) const {
+  check_arity(weights_.size(), inputs.size());
+  double best = inputs[0] * weights_[0];
+  for (std::size_t i = 1; i < inputs.size(); ++i)
+    best = autodiff::min_value(best, inputs[i] * weights_[i]);
+  return best;
+}
+
 std::unique_ptr<ThroughputFn> MinWeightedFn::clone() const {
   return std::make_unique<MinWeightedFn>(*this);
 }
@@ -106,6 +114,15 @@ autodiff::Var CustomFn::eval_var(autodiff::Tape& tape,
                                  std::span<const autodiff::Var> inputs) const {
   check_arity(arity_, inputs.size());
   return eval_var_(tape, inputs);
+}
+
+double CustomFn::eval_as_taped(std::span<const double> inputs) const {
+  check_arity(arity_, inputs.size());
+  autodiff::Tape tape;
+  std::vector<autodiff::Var> vars;
+  vars.reserve(inputs.size());
+  for (double v : inputs) vars.push_back(tape.constant(v));
+  return eval_var_(tape, vars).value();
 }
 
 std::unique_ptr<ThroughputFn> CustomFn::clone() const { return std::make_unique<CustomFn>(*this); }

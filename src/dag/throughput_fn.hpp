@@ -29,6 +29,13 @@ class ThroughputFn {
   [[nodiscard]] virtual autodiff::Var eval_var(autodiff::Tape& tape,
                                                std::span<const autodiff::Var> inputs) const = 0;
 
+  /// The value eval_var() records, computed on plain doubles: bit-identical
+  /// to eval_var(...).value(), NaN inputs included.  Defaults to eval(), which
+  /// is exact for forms whose double and Var paths share one operation order.
+  [[nodiscard]] virtual double eval_as_taped(std::span<const double> inputs) const {
+    return eval(inputs);
+  }
+
   /// Number of inputs this function consumes (the operator's in-degree).
   [[nodiscard]] virtual std::size_t arity() const noexcept = 0;
 
@@ -67,6 +74,8 @@ class MinWeightedFn final : public ThroughputFn {
   [[nodiscard]] double eval(std::span<const double> inputs) const override;
   [[nodiscard]] autodiff::Var eval_var(autodiff::Tape& tape,
                                        std::span<const autodiff::Var> inputs) const override;
+  /// eval() folds with std::min; the tape's min rule differs on NaN.
+  [[nodiscard]] double eval_as_taped(std::span<const double> inputs) const override;
   [[nodiscard]] std::size_t arity() const noexcept override { return weights_.size(); }
   [[nodiscard]] std::span<double> params() noexcept override { return weights_; }
   [[nodiscard]] std::span<const double> params() const noexcept override { return weights_; }
@@ -110,6 +119,9 @@ class CustomFn final : public ThroughputFn {
   [[nodiscard]] double eval(std::span<const double> inputs) const override;
   [[nodiscard]] autodiff::Var eval_var(autodiff::Tape& tape,
                                        std::span<const autodiff::Var> inputs) const override;
+  /// Records eval_var on a throwaway tape: the two user evaluators need not
+  /// agree bit for bit, and the taped one is the reference.
+  [[nodiscard]] double eval_as_taped(std::span<const double> inputs) const override;
   [[nodiscard]] std::size_t arity() const noexcept override { return arity_; }
   [[nodiscard]] std::string name() const override { return label_; }
   [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;

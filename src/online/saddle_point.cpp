@@ -25,26 +25,24 @@ std::vector<double> SaddlePointSolver::solve(const dag::FlowSolver& flow,
   DRAGSTER_REQUIRE(y_start.size() == n, "y_start must be node-indexed");
   DRAGSTER_REQUIRE(lambda.size() == n, "lambda must be node-indexed");
 
+  const std::vector<dag::NodeId>& operators = dag.operators();
+
   // Effective multipliers: floored so every constraint exerts at least a
   // whisker of upward pressure (see header).
   std::vector<double> lam(n, 0.0);
-  for (dag::NodeId id = 0; id < n; ++id) {
-    if (dag.component(id).kind != dag::ComponentKind::kOperator) continue;
-    lam[id] = std::max(lambda[id], options_.lambda_floor);
-  }
+  for (dag::NodeId id : operators) lam[id] = std::max(lambda[id], options_.lambda_floor);
 
   std::vector<double> y(y_start.begin(), y_start.end());
-  for (dag::NodeId id = 0; id < n; ++id) {
-    if (dag.component(id).kind == dag::ComponentKind::kOperator)
-      y[id] = std::clamp(y[id], options_.y_min, options_.y_max);
-  }
+  for (dag::NodeId id : operators) y[id] = std::clamp(y[id], options_.y_min, options_.y_max);
 
+  // The search reads only the objective's value, so it takes the tape-free
+  // path; the scratch is local, keeping concurrent solves on one FlowSolver
+  // independent.
+  dag::FlowSolver::Scratch scratch;
   const double eps = options_.capacity_regularization;
   auto objective = [&](const std::vector<double>& cap) {
-    const dag::LagrangianResult lr = flow.lagrangian(source_rates, cap, lam, observed_demand);
-    double value = lr.value;
-    for (dag::NodeId id = 0; id < n; ++id)
-      if (dag.component(id).kind == dag::ComponentKind::kOperator) value -= eps * cap[id];
+    double value = flow.lagrangian_value(source_rates, cap, lam, observed_demand, scratch);
+    for (dag::NodeId id : operators) value -= eps * cap[id];
     return value;
   };
 

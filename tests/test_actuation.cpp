@@ -418,6 +418,83 @@ TEST(ActuationManager, CrashMidFlightIsToppedUpWithoutCountingARetry) {
   expect_epoch_invariant(manager);
 }
 
+TEST(ActuationManager, EngineRisingUnderAPendingScaleUpNeverOvershootsTheTarget) {
+  // A scale-down, then a node crash tears pods away, and the reconfiguration
+  // aborts on a failed checkpoint: the engine returns to its pre-scale-down
+  // count *after* the reconcile pass adopted the post-crash one.  The next
+  // scale-up is therefore sized from a stale mirror, and once the engine
+  // truth is re-adopted the requested pods exceed what the target needs.
+  // Landing all of them used to push the engine past max_tasks (10) and make
+  // Engine::set_tasks throw.
+  ChaosSim sim(2500.0, /*tasks=*/5);
+  ActuationOptions options;
+  options.sched_latency_mean_slots = 2.0;
+  options.deadline_slots = 10;
+  ActuationManager manager(*sim.engine, options, 5);
+
+  manager.begin_slot();
+  manager.set_tasks(sim.op, 3);  // scale-down, within the call; rollback point 5
+  ASSERT_EQ(sim.engine->tasks(sim.op), 3);
+
+  sim.engine->inject_pod_failure(sim.op);  // node crash: 3 -> 1
+  sim.engine->inject_pod_failure(sim.op);
+  sim.engine->arm_checkpoint_failure(3);
+  manager.begin_slot();  // reconcile adopts 1
+  ASSERT_EQ(manager.applied_tasks(sim.op), 1);
+  const streamsim::SlotReport& aborted = sim.engine->run_slot();
+  ASSERT_TRUE(aborted.checkpoint_aborted);
+  ASSERT_EQ(sim.engine->tasks(sim.op), 5);  // the abort restored the pre-crash count
+
+  manager.set_tasks(sim.op, 9);  // sized from the stale mirror: 8 pods
+  EXPECT_EQ(sim.engine->cluster().pending_pods("worker"), 8);
+
+  manager.begin_slot();  // adopts 5; only 4 pods are still needed
+  EXPECT_EQ(manager.applied_tasks(sim.op), 5);
+  EXPECT_EQ(manager.in_flight_info(sim.op)->pods_pending, 4u);
+  EXPECT_EQ(sim.engine->cluster().pending_pods("worker"), 4);
+
+  EXPECT_NO_THROW(manager.begin_slot());  // the pods land: 5 + 4, not 5 + 8
+  EXPECT_EQ(sim.engine->tasks(sim.op), 9);
+  EXPECT_EQ(manager.applied_tasks(sim.op), 9);
+  EXPECT_FALSE(manager.in_flight(sim.op));
+  EXPECT_EQ(sim.engine->cluster().pending_pods("worker"), 0);
+  const OperatorStats stats = stats_for(manager.operator_stats(), sim.op);
+  EXPECT_EQ(stats.applied, 2u);
+  EXPECT_EQ(stats.retried, 0u);
+  expect_epoch_invariant(manager);
+}
+
+TEST(ActuationManager, EngineReachingTheTargetOnItsOwnEndsTheScaleUp) {
+  // Same drift, but the aborted checkpoint lands the engine at or above the
+  // pending target: nothing is left to schedule, so the operation completes
+  // (scaling down to the target when the engine overshot it).
+  for (const int target : {5, 4}) {
+    SCOPED_TRACE("target " + std::to_string(target));
+    ChaosSim sim(2500.0, /*tasks=*/5);
+    ActuationOptions options;
+    options.sched_latency_mean_slots = 2.0;
+    options.deadline_slots = 10;
+    ActuationManager manager(*sim.engine, options, 5);
+
+    manager.begin_slot();
+    manager.set_tasks(sim.op, 3);
+    sim.engine->inject_pod_failure(sim.op);
+    sim.engine->inject_pod_failure(sim.op);
+    sim.engine->arm_checkpoint_failure(3);
+    manager.begin_slot();
+    sim.engine->run_slot();
+    ASSERT_EQ(sim.engine->tasks(sim.op), 5);
+
+    manager.set_tasks(sim.op, target);  // stale mirror 1: requests target - 1 pods
+    ASSERT_TRUE(manager.in_flight(sim.op));
+    manager.begin_slot();
+    EXPECT_EQ(sim.engine->tasks(sim.op), target);
+    EXPECT_FALSE(manager.in_flight(sim.op));
+    EXPECT_EQ(sim.engine->cluster().pending_pods("worker"), 0);
+    expect_epoch_invariant(manager);
+  }
+}
+
 TEST(ActuationManager, ScriptedChaosKeepsTheInvariant) {
   // A mixed script: supersedes, an admission-outage window, a pod crash and
   // scale-downs.  Whatever happens, every epoch must terminate exactly once

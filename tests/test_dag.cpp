@@ -149,10 +149,19 @@ TEST(StreamDag, MergesMultipleSinksIntoVirtualSink) {
   dag.add_edge(src, op, identity_fn());
   dag.add_edge(op, k1, identity_fn(), 0.5);
   dag.add_edge(op, k2, identity_fn(), 0.5);
+  EXPECT_EQ(dag.sources(), std::vector<NodeId>{src});
+  EXPECT_EQ(dag.operators(), std::vector<NodeId>{op});
   dag.validate();
-  // The two explicit sinks become pass-through operators into one sink.
+  // The two explicit sinks become pass-through operators into one sink, and
+  // the cached id lists follow the conversion.
   EXPECT_EQ(dag.nodes_of_kind(ComponentKind::kSink).size(), 1u);
   EXPECT_EQ(dag.component(dag.sink()).name, "__virtual_sink");
+  EXPECT_EQ(dag.operators(), (std::vector<NodeId>{op, k1, k2}));
+  EXPECT_EQ(dag.operators(), dag.nodes_of_kind(ComponentKind::kOperator));
+  const StreamDag copy(dag);
+  EXPECT_EQ(copy.sources(), dag.sources());
+  EXPECT_EQ(copy.operators(), dag.operators());
+  EXPECT_EQ(copy.sink(), dag.sink());
 }
 
 TEST(StreamDag, NormalizesImplicitAlphaEqually) {
