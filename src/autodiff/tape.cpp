@@ -59,12 +59,12 @@ Var Tape::neg(Var a) { return unary(-a.value(), a, -1.0); }
 
 Var Tape::min(Var a, Var b) {
   const bool pick_a = a.value() <= b.value();
-  return binary(min_value(a.value(), b.value()), a, pick_a ? 1.0 : 0.0, b, pick_a ? 0.0 : 1.0);
+  return binary(autodiff::min(a.value(), b.value()), a, pick_a ? 1.0 : 0.0, b, pick_a ? 0.0 : 1.0);
 }
 
 Var Tape::max(Var a, Var b) {
   const bool pick_a = a.value() >= b.value();
-  return binary(max_value(a.value(), b.value()), a, pick_a ? 1.0 : 0.0, b, pick_a ? 0.0 : 1.0);
+  return binary(autodiff::max(a.value(), b.value()), a, pick_a ? 1.0 : 0.0, b, pick_a ? 0.0 : 1.0);
 }
 
 Var Tape::tanh(Var a) {

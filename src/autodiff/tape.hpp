@@ -13,6 +13,7 @@
 // needs for the truncated flow of paper eq. (4).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -92,12 +93,14 @@ class Tape {
   std::vector<Node> nodes_;
 };
 
-/// The values Tape::min / Tape::max record, on plain doubles.  Ties go to the
+/// The values Tape::min / Tape::max / Tape::tanh record, on plain doubles, so
+/// code templated on the scalar computes with either one.  Ties go to the
 /// first argument, and any NaN operand selects the second — std::min and
 /// std::max return the first one instead, so they are not interchangeable
 /// with these where a value must match the tape bit for bit.
-[[nodiscard]] inline double min_value(double a, double b) noexcept { return a <= b ? a : b; }
-[[nodiscard]] inline double max_value(double a, double b) noexcept { return a >= b ? a : b; }
+[[nodiscard]] inline double min(double a, double b) noexcept { return a <= b ? a : b; }
+[[nodiscard]] inline double max(double a, double b) noexcept { return a >= b ? a : b; }
+[[nodiscard]] inline double tanh(double a) noexcept { return std::tanh(a); }
 
 // Free-function operator sugar; both operands must live on the same tape.
 Var operator+(Var a, Var b);

@@ -4,7 +4,14 @@
 // This is the *analytic* model the controller plans with; the streamsim
 // module adds buffers, noise and time.  Flows are computed in topological
 // order: each operator's demand toward successor j is h_{i,j}(inputs) and
-// the realized flow is min(alpha_{i,j} * y_i, demand).
+// the realized flow is min(alpha_{i,j} * y_i, demand); sources pass their
+// demand through.  That walk is written once, as a template over the scalar:
+// solve(), app_throughput() and lagrangian_value() run it on doubles, and
+// sensitivity() and lagrangian() record it on an autodiff tape for the
+// gradient.  Both use the tape's rules -- infinite capacity clamped to 1e18,
+// and min/max as autodiff::min/max, which pick the first operand on ties and
+// propagate NaN (std::min/std::max keep the first operand) -- so every value
+// is bit-identical to the taped one.
 #pragma once
 
 #include <span>
@@ -54,7 +61,7 @@ class FlowSolver {
   /// `source_rates` and `capacity` are node-indexed (size node_count);
   /// only source entries of `source_rates` and operator entries of
   /// `capacity` are read.  Infinite capacity is expressed with
-  /// std::numeric_limits<double>::infinity().
+  /// std::numeric_limits<double>::infinity() and planned as 1e18.
   [[nodiscard]] FlowResult solve(std::span<const double> source_rates,
                                  std::span<const double> capacity) const;
 
@@ -62,8 +69,8 @@ class FlowSolver {
   [[nodiscard]] double app_throughput(std::span<const double> source_rates,
                                       std::span<const double> capacity) const;
 
-  /// Gradient and constraints via reverse-mode autodiff over the same
-  /// composition (min handled by active-branch subgradients).
+  /// Gradient and constraints via reverse-mode autodiff over the same walk
+  /// (min handled by active-branch subgradients).
   [[nodiscard]] Sensitivity sensitivity(std::span<const double> source_rates,
                                         std::span<const double> capacity) const;
 
@@ -84,14 +91,9 @@ class FlowSolver {
                                             std::span<const double> observed_demand) const;
 
   /// lagrangian(...).value without the tape or the gradient — the objective
-  /// the saddle-point search evaluates ~100 times per slot.  The result is
-  /// bit-identical to the taped value because every operation is replayed
-  /// in the tape's order and with its rules: edge functions through
-  /// ThroughputFn::eval_as_taped, infinite capacity clamped to 1e18, and
-  /// min/max as autodiff::min_value / max_value.  Those pick the first
-  /// argument on ties and the second whenever an operand is NaN, where
-  /// std::min / std::max pick the first; a NaN observed demand therefore
-  /// makes the value NaN here exactly as it does on the tape.
+  /// the saddle-point search evaluates ~100 times per slot.  The same walk
+  /// and hinge on doubles, so the result is bit-identical to the taped
+  /// value, NaN included.
   [[nodiscard]] double lagrangian_value(std::span<const double> source_rates,
                                         std::span<const double> capacity,
                                         std::span<const double> lambda,

@@ -1,7 +1,5 @@
 #include "dag/throughput_fn.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace dragster::dag {
@@ -18,19 +16,19 @@ LinearFn::LinearFn(std::vector<double> weights) : weights_(std::move(weights)) {
   for (double w : weights_) DRAGSTER_REQUIRE(w >= 0.0, "LinearFn weights must be non-negative");
 }
 
-double LinearFn::eval(std::span<const double> inputs) const {
+template <class T>
+T LinearFn::apply(std::span<const T> inputs, T zero) const {
   check_arity(weights_.size(), inputs.size());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < inputs.size(); ++i) sum += weights_[i] * inputs[i];
+  T sum = zero;
+  for (std::size_t i = 0; i < inputs.size(); ++i) sum = sum + inputs[i] * weights_[i];
   return sum;
 }
 
+double LinearFn::eval(std::span<const double> inputs) const { return apply(inputs, 0.0); }
+
 autodiff::Var LinearFn::eval_var(autodiff::Tape& tape,
                                  std::span<const autodiff::Var> inputs) const {
-  check_arity(weights_.size(), inputs.size());
-  autodiff::Var sum = tape.constant(0.0);
-  for (std::size_t i = 0; i < inputs.size(); ++i) sum = sum + inputs[i] * weights_[i];
-  return sum;
+  return apply(inputs, tape.constant(0.0));
 }
 
 std::unique_ptr<ThroughputFn> LinearFn::clone() const { return std::make_unique<LinearFn>(*this); }
@@ -41,29 +39,20 @@ MinWeightedFn::MinWeightedFn(std::vector<double> weights) : weights_(std::move(w
     DRAGSTER_REQUIRE(w >= 0.0, "MinWeightedFn weights must be non-negative");
 }
 
-double MinWeightedFn::eval(std::span<const double> inputs) const {
+template <class T>
+T MinWeightedFn::apply(std::span<const T> inputs) const {
   check_arity(weights_.size(), inputs.size());
-  double best = weights_[0] * inputs[0];
-  for (std::size_t i = 1; i < inputs.size(); ++i) best = std::min(best, weights_[i] * inputs[i]);
-  return best;
-}
-
-autodiff::Var MinWeightedFn::eval_var(autodiff::Tape& tape,
-                                      std::span<const autodiff::Var> inputs) const {
-  check_arity(weights_.size(), inputs.size());
-  autodiff::Var best = inputs[0] * weights_[0];
+  T best = inputs[0] * weights_[0];
   for (std::size_t i = 1; i < inputs.size(); ++i)
     best = autodiff::min(best, inputs[i] * weights_[i]);
-  (void)tape;
   return best;
 }
 
-double MinWeightedFn::eval_as_taped(std::span<const double> inputs) const {
-  check_arity(weights_.size(), inputs.size());
-  double best = inputs[0] * weights_[0];
-  for (std::size_t i = 1; i < inputs.size(); ++i)
-    best = autodiff::min_value(best, inputs[i] * weights_[i]);
-  return best;
+double MinWeightedFn::eval(std::span<const double> inputs) const { return apply(inputs); }
+
+autodiff::Var MinWeightedFn::eval_var(autodiff::Tape& /*tape*/,
+                                      std::span<const autodiff::Var> inputs) const {
+  return apply(inputs);
 }
 
 std::unique_ptr<ThroughputFn> MinWeightedFn::clone() const {
@@ -81,48 +70,41 @@ TanhFn::TanhFn(double scale, std::vector<double> weights) {
   }
 }
 
-double TanhFn::eval(std::span<const double> inputs) const {
+template <class T>
+T TanhFn::apply(std::span<const T> inputs, T zero) const {
   check_arity(arity(), inputs.size());
-  double dot = 0.0;
-  for (std::size_t i = 0; i < inputs.size(); ++i) dot += params_[i + 1] * inputs[i];
-  return params_[0] * std::tanh(dot);
-}
-
-autodiff::Var TanhFn::eval_var(autodiff::Tape& tape,
-                               std::span<const autodiff::Var> inputs) const {
-  check_arity(arity(), inputs.size());
-  autodiff::Var dot = tape.constant(0.0);
+  T dot = zero;
   for (std::size_t i = 0; i < inputs.size(); ++i) dot = dot + inputs[i] * params_[i + 1];
   return autodiff::tanh(dot) * params_[0];
 }
 
+double TanhFn::eval(std::span<const double> inputs) const { return apply(inputs, 0.0); }
+
+autodiff::Var TanhFn::eval_var(autodiff::Tape& tape,
+                               std::span<const autodiff::Var> inputs) const {
+  return apply(inputs, tape.constant(0.0));
+}
+
 std::unique_ptr<ThroughputFn> TanhFn::clone() const { return std::make_unique<TanhFn>(*this); }
 
-CustomFn::CustomFn(std::size_t arity, EvalFn eval, EvalVarFn eval_var, std::string label)
-    : arity_(arity), eval_(std::move(eval)), eval_var_(std::move(eval_var)), label_(std::move(label)) {
+CustomFn::CustomFn(std::size_t arity, EvalVarFn eval_var, std::string label)
+    : arity_(arity), eval_var_(std::move(eval_var)), label_(std::move(label)) {
   DRAGSTER_REQUIRE(arity_ > 0, "CustomFn arity must be positive");
-  DRAGSTER_REQUIRE(eval_ != nullptr, "CustomFn needs a double evaluator");
   DRAGSTER_REQUIRE(eval_var_ != nullptr, "CustomFn needs a Var evaluator");
 }
 
 double CustomFn::eval(std::span<const double> inputs) const {
-  check_arity(arity_, inputs.size());
-  return eval_(inputs);
+  autodiff::Tape tape;
+  std::vector<autodiff::Var> vars;
+  vars.reserve(inputs.size());
+  for (double v : inputs) vars.push_back(tape.constant(v));
+  return eval_var(tape, vars).value();
 }
 
 autodiff::Var CustomFn::eval_var(autodiff::Tape& tape,
                                  std::span<const autodiff::Var> inputs) const {
   check_arity(arity_, inputs.size());
   return eval_var_(tape, inputs);
-}
-
-double CustomFn::eval_as_taped(std::span<const double> inputs) const {
-  check_arity(arity_, inputs.size());
-  autodiff::Tape tape;
-  std::vector<autodiff::Var> vars;
-  vars.reserve(inputs.size());
-  for (double v : inputs) vars.push_back(tape.constant(v));
-  return eval_var_(tape, vars).value();
 }
 
 std::unique_ptr<ThroughputFn> CustomFn::clone() const { return std::make_unique<CustomFn>(*this); }

@@ -3,9 +3,12 @@
 // h_{i,j} maps the throughput vector *received by operator i* to the demand
 // operator i would emit toward successor j if capacity were unlimited.  All
 // built-in forms are increasing and concave in each input, which is what the
-// paper's convexity argument for f_t(y) requires.  Each form is evaluable
-// both on plain doubles (simulation) and on autodiff::Var (gradients for
-// bottleneck identification).
+// paper's convexity argument for f_t(y) requires.  Each built-in form writes
+// its body once, as a private template over the scalar, and evaluates it both
+// on plain doubles (values) and on autodiff::Var (gradients for bottleneck
+// identification and OGD).  min follows the tape's rule on either scalar
+// (autodiff::min: ties pick the first operand, NaN propagates), so the two
+// paths agree bit for bit, NaN inputs included.
 #pragma once
 
 #include <functional>
@@ -25,16 +28,10 @@ class ThroughputFn {
   /// Demand toward the successor given the inputs received by the operator.
   [[nodiscard]] virtual double eval(std::span<const double> inputs) const = 0;
 
-  /// Same computation recorded on an autodiff tape.
+  /// Same computation recorded on an autodiff tape; its value is
+  /// bit-identical to eval() on the same inputs.
   [[nodiscard]] virtual autodiff::Var eval_var(autodiff::Tape& tape,
                                                std::span<const autodiff::Var> inputs) const = 0;
-
-  /// The value eval_var() records, computed on plain doubles: bit-identical
-  /// to eval_var(...).value(), NaN inputs included.  Defaults to eval(), which
-  /// is exact for forms whose double and Var paths share one operation order.
-  [[nodiscard]] virtual double eval_as_taped(std::span<const double> inputs) const {
-    return eval(inputs);
-  }
 
   /// Number of inputs this function consumes (the operator's in-degree).
   [[nodiscard]] virtual std::size_t arity() const noexcept = 0;
@@ -63,6 +60,9 @@ class LinearFn final : public ThroughputFn {
   [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;
 
  private:
+  template <class T>
+  T apply(std::span<const T> inputs, T zero) const;
+
   std::vector<double> weights_;
 };
 
@@ -74,8 +74,6 @@ class MinWeightedFn final : public ThroughputFn {
   [[nodiscard]] double eval(std::span<const double> inputs) const override;
   [[nodiscard]] autodiff::Var eval_var(autodiff::Tape& tape,
                                        std::span<const autodiff::Var> inputs) const override;
-  /// eval() folds with std::min; the tape's min rule differs on NaN.
-  [[nodiscard]] double eval_as_taped(std::span<const double> inputs) const override;
   [[nodiscard]] std::size_t arity() const noexcept override { return weights_.size(); }
   [[nodiscard]] std::span<double> params() noexcept override { return weights_; }
   [[nodiscard]] std::span<const double> params() const noexcept override { return weights_; }
@@ -83,6 +81,9 @@ class MinWeightedFn final : public ThroughputFn {
   [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;
 
  private:
+  template <class T>
+  T apply(std::span<const T> inputs) const;
+
   std::vector<double> weights_;
 };
 
@@ -102,33 +103,32 @@ class TanhFn final : public ThroughputFn {
   [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;
 
  private:
+  template <class T>
+  T apply(std::span<const T> inputs, T zero) const;
+
   std::vector<double> params_;  // [scale, weights...]
 };
 
 /// User-supplied concave form (paper: "the developer could ... exactly
-/// provide its throughput function").  Requires matching double and Var
-/// evaluators so gradients stay exact.
+/// provide its throughput function").  Takes one evaluator, on the tape;
+/// eval() records it on a throwaway tape, so values and gradients cannot
+/// disagree.
 class CustomFn final : public ThroughputFn {
  public:
-  using EvalFn = std::function<double(std::span<const double>)>;
   using EvalVarFn =
       std::function<autodiff::Var(autodiff::Tape&, std::span<const autodiff::Var>)>;
 
-  CustomFn(std::size_t arity, EvalFn eval, EvalVarFn eval_var, std::string label = "custom");
+  CustomFn(std::size_t arity, EvalVarFn eval_var, std::string label = "custom");
 
   [[nodiscard]] double eval(std::span<const double> inputs) const override;
   [[nodiscard]] autodiff::Var eval_var(autodiff::Tape& tape,
                                        std::span<const autodiff::Var> inputs) const override;
-  /// Records eval_var on a throwaway tape: the two user evaluators need not
-  /// agree bit for bit, and the taped one is the reference.
-  [[nodiscard]] double eval_as_taped(std::span<const double> inputs) const override;
   [[nodiscard]] std::size_t arity() const noexcept override { return arity_; }
   [[nodiscard]] std::string name() const override { return label_; }
   [[nodiscard]] std::unique_ptr<ThroughputFn> clone() const override;
 
  private:
   std::size_t arity_;
-  EvalFn eval_;
   EvalVarFn eval_var_;
   std::string label_;
 };

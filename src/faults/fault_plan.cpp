@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -199,9 +200,11 @@ std::string FaultEvent::to_string() const {
       kind == FaultKind::kSchedulerDelay ||
       // draglint:allow(DL004 1.0 is the normalized pod-count default; parse() re-normalizes it)
       (kind == FaultKind::kPodCrash && value != 1.0)) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", value);
-    oss << '*' << buf;
+    // Shortest fixed-notation digits: parse() reads them back to the same
+    // double, and it takes no exponent.
+    char buf[400];  // holds any finite double in fixed notation
+    const char* end = std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::fixed).ptr;
+    oss << '*' << std::string_view(buf, end);
   }
   if (!op.empty()) oss << ':' << op;
   return oss.str();

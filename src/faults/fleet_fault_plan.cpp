@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -182,9 +183,11 @@ std::string FleetFaultEvent::to_string() const {
       kind == FleetFaultKind::kNetDrop || kind == FleetFaultKind::kNetDelay;
   // draglint:allow(DL004 1.0 is the normalized node-count default; parse() re-normalizes it)
   if (kind == FleetFaultKind::kBudgetCut || valued_net_kind || (node_kind && value != 1.0)) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", value);
-    oss << '*' << buf;
+    // Shortest fixed-notation digits: parse() reads them back to the same
+    // double, and it takes no exponent.
+    char buf[400];  // holds any finite double in fixed notation
+    const char* end = std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::fixed).ptr;
+    oss << '*' << std::string_view(buf, end);
   }
   if (!job.empty()) oss << ':' << job;
   return oss.str();

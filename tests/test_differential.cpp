@@ -2,7 +2,10 @@
 // replaced on seeded random DAGs and inputs, and the two must agree bit for
 // bit (compared as uint64 bit patterns, so NaN == NaN and -0.0 != +0.0).
 //
+//  * ThroughputFn::eval vs eval_var(...).value (the tape);
 //  * FlowSolver::lagrangian_value vs lagrangian(...).value (the tape);
+//  * FlowSolver::solve vs a test-local copy of the stand-alone walk it
+//    replaced (std::min, unclamped infinite capacity) on finite inputs;
 //  * SaddlePointSolver::solve vs a test-local copy of the coordinate search
 //    that evaluates its objective through the taped lagrangian.
 #include <gtest/gtest.h>
@@ -45,24 +48,22 @@ TEST(ValueRules, MinMaxValueFollowTheTapeOnTiesAndNaN) {
     autodiff::Tape tape;
     const autodiff::Var a = tape.constant(c[0]);
     const autodiff::Var b = tape.constant(c[1]);
-    EXPECT_EQ(bits(autodiff::min_value(c[0], c[1])), bits(autodiff::min(a, b).value()));
-    EXPECT_EQ(bits(autodiff::max_value(c[0], c[1])), bits(autodiff::max(a, b).value()));
+    EXPECT_EQ(bits(autodiff::min(c[0], c[1])), bits(autodiff::min(a, b).value()));
+    EXPECT_EQ(bits(autodiff::max(c[0], c[1])), bits(autodiff::max(a, b).value()));
   }
   // The rule the value path must NOT use: std::min keeps the first operand
   // when the second is NaN, the tape propagates the NaN.
   EXPECT_FALSE(std::isnan(std::min(1.0, kNaN)));
-  EXPECT_TRUE(std::isnan(autodiff::min_value(1.0, kNaN)));
+  EXPECT_TRUE(std::isnan(autodiff::min(1.0, kNaN)));
 }
 
-TEST(ValueRules, EvalAsTapedMatchesEvalVarForEveryForm) {
+TEST(ValueRules, EvalMatchesEvalVarForEveryForm) {
   const dag::LinearFn linear({0.5, 2.0});
   const dag::MinWeightedFn min_weighted({2.0, 0.5});
   const dag::TanhFn tanh_fn(100.0, {0.01, 0.02});
-  const dag::CustomFn custom(
-      2, [](std::span<const double> e) { return std::sqrt(e[0]) + e[1]; },
-      [](autodiff::Tape& tape, std::span<const autodiff::Var> e) {
-        return tape.sqrt(e[0]) + e[1];
-      });
+  const dag::CustomFn custom(2, [](autodiff::Tape& tape, std::span<const autodiff::Var> e) {
+    return tape.sqrt(e[0]) + e[1];
+  });
   const std::vector<std::vector<double>> inputs = {
       {10.0, 20.0}, {0.0, 0.0}, {kNaN, 5.0}, {5.0, kNaN}, {kInf, 1.0}, {1.0, kInf}};
   for (const dag::ThroughputFn* fn :
@@ -70,12 +71,11 @@ TEST(ValueRules, EvalAsTapedMatchesEvalVarForEveryForm) {
     for (const auto& in : inputs) {
       if (fn == &custom && std::isnan(in[0])) continue;  // sqrt(NaN) is rejected on the tape
       SCOPED_TRACE(fn->name());
-      EXPECT_EQ(bits(fn->eval_as_taped(in)), bits(taped_eval(*fn, in)));
+      EXPECT_EQ(bits(fn->eval(in)), bits(taped_eval(*fn, in)));
     }
   }
-  // MinWeightedFn::eval keeps std::min's rule, so only eval_as_taped is exact.
-  EXPECT_FALSE(std::isnan(min_weighted.eval(std::vector{5.0, kNaN})));
-  EXPECT_TRUE(std::isnan(min_weighted.eval_as_taped(std::vector{5.0, kNaN})));
+  // MinWeightedFn::eval follows the tape's min rule: a NaN operand wins.
+  EXPECT_TRUE(std::isnan(min_weighted.eval(std::vector{5.0, kNaN})));
 }
 
 TEST(LagrangianValue, BitIdenticalToTheTapeOnRandomDags) {
@@ -126,6 +126,115 @@ TEST(LagrangianValue, ScratchCarriesNoStateBetweenDags) {
                                              small_in.lambda, small_in.observed_demand, shared)),
             bits(small_flow.lagrangian_value(small_in.source_rates, small_in.capacity,
                                              small_in.lambda, small_in.observed_demand, fresh)));
+}
+
+/// FlowSolver::solve as it was before the walk was shared with the tape:
+/// std::min truncation, infinite capacity left unclamped, and source edges
+/// truncated at alpha * infinity.
+dag::FlowResult reference_flow(const dag::StreamDag& graph, std::span<const double> source_rates,
+                               std::span<const double> capacity) {
+  const std::size_t n = graph.node_count();
+  dag::FlowResult result;
+  result.edge_flow.assign(graph.edge_count(), 0.0);
+  result.node_inflow.assign(n, 0.0);
+  result.node_demand.assign(n, 0.0);
+  result.node_outflow.assign(n, 0.0);
+  for (dag::NodeId id : graph.topo_order()) {
+    const dag::Component& comp = graph.component(id);
+    if (comp.kind == dag::ComponentKind::kSink) {
+      for (std::size_t eidx : graph.in_edges(id)) result.node_inflow[id] += result.edge_flow[eidx];
+      continue;
+    }
+    std::vector<double> inputs;
+    if (comp.kind == dag::ComponentKind::kSource) {
+      inputs.push_back(source_rates[id]);
+    } else {
+      for (std::size_t eidx : graph.in_edges(id)) inputs.push_back(result.edge_flow[eidx]);
+      for (double v : inputs) result.node_inflow[id] += v;
+    }
+    const double y = comp.kind == dag::ComponentKind::kOperator ? capacity[id] : kInf;
+    for (std::size_t eidx : graph.out_edges(id)) {
+      const dag::Edge& edge = graph.edge(eidx);
+      const double demand = edge.fn->eval(inputs);
+      result.node_demand[id] += demand;
+      const double flow = std::min(edge.alpha * y, demand);
+      result.edge_flow[eidx] = flow;
+      result.node_outflow[id] += flow;
+    }
+  }
+  result.app_throughput = result.node_inflow[graph.sink()];
+  return result;
+}
+
+/// The old walk computed alpha * infinity on source edges, which is NaN for
+/// alpha == 0 where the shared walk passes the demand through.
+bool has_zero_alpha_source_edge(const dag::StreamDag& graph) {
+  for (dag::NodeId id : graph.sources())
+    for (std::size_t eidx : graph.out_edges(id))
+      if (graph.edge(eidx).alpha == 0.0) return true;
+  return false;
+}
+
+void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b,
+                      const char* field) {
+  ASSERT_EQ(a.size(), b.size()) << field;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(bits(a[i]), bits(b[i])) << field << "[" << i << "]: " << a[i] << " vs " << b[i];
+}
+
+TEST(FlowSolveDifferential, SolveMatchesTheStandaloneWalkOnFiniteInputs) {
+  common::Rng rng(5150);
+  std::size_t compared = 0;
+  for (int d = 0; d < 300; ++d) {
+    const dag::StreamDag graph = testing::random_dag(rng);
+    if (has_zero_alpha_source_edge(graph)) continue;
+    const dag::FlowSolver flow(graph);
+    for (int draw = 0; draw < 5; ++draw) {
+      // Finite, non-NaN rates and capacities, zeros included: the domain
+      // where the clamp and the min rule cannot tell the two walks apart.
+      const std::size_t n = graph.node_count();
+      std::vector<double> rates(n, kNaN);
+      std::vector<double> capacity(n, kNaN);
+      for (dag::NodeId id : graph.sources())
+        rates[id] = rng.bernoulli(0.15) ? 0.0 : rng.uniform(0.0, 1e5);
+      for (dag::NodeId id : graph.operators())
+        capacity[id] = rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.0, 2e5);
+
+      SCOPED_TRACE("dag " + std::to_string(d) + " draw " + std::to_string(draw));
+      const dag::FlowResult fast = flow.solve(rates, capacity);
+      const dag::FlowResult slow = reference_flow(graph, rates, capacity);
+      expect_same_bits(fast.edge_flow, slow.edge_flow, "edge_flow");
+      expect_same_bits(fast.node_inflow, slow.node_inflow, "node_inflow");
+      expect_same_bits(fast.node_demand, slow.node_demand, "node_demand");
+      expect_same_bits(fast.node_outflow, slow.node_outflow, "node_outflow");
+      EXPECT_EQ(bits(fast.app_throughput), bits(slow.app_throughput));
+      EXPECT_EQ(bits(flow.app_throughput(rates, capacity)), bits(slow.app_throughput));
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 1000u);
+}
+
+TEST(FlowSolveDifferential, ValuePathsMatchTheTapeOnEveryInput) {
+  // solve(), app_throughput() and the taped sensitivity() share one walk, so
+  // they agree bit for bit on every draw, NaN and infinity included.
+  common::Rng rng(8128);
+  for (int d = 0; d < 200; ++d) {
+    const dag::StreamDag graph = testing::random_dag(rng);
+    const dag::FlowSolver flow(graph);
+    for (int draw = 0; draw < 5; ++draw) {
+      const testing::PlannerInputs in = testing::random_inputs(rng, graph);
+      const dag::Sensitivity taped = flow.sensitivity(in.source_rates, in.capacity);
+      const dag::FlowResult solved = flow.solve(in.source_rates, in.capacity);
+      ASSERT_EQ(bits(solved.app_throughput), bits(taped.throughput)) << "dag " << d;
+      ASSERT_EQ(bits(flow.app_throughput(in.source_rates, in.capacity)), bits(taped.throughput));
+      for (dag::NodeId id : graph.operators()) {
+        double constraint = solved.node_demand[id] - in.capacity[id];
+        if (!std::isfinite(constraint)) constraint = -1e18;
+        ASSERT_EQ(bits(constraint), bits(taped.constraint[id])) << "dag " << d << " node " << id;
+      }
+    }
+  }
 }
 
 /// SaddlePointSolver::solve as it was before the value-only objective: the

@@ -9,6 +9,7 @@
 
 #include "actuation/actuation.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/dragster_controller.hpp"
 #include "experiments/scenario.hpp"
 #include "faults/fault_injector.hpp"
@@ -98,6 +99,29 @@ TEST(FaultPlan, RoundTripsThroughToString) {
   const FaultPlan plan = FaultPlan::parse(spec);
   EXPECT_EQ(plan.to_string(), spec);
   EXPECT_EQ(FaultPlan::parse(plan.to_string()).to_string(), plan.to_string());
+}
+
+TEST(FaultPlan, ValuesRoundTripExactly) {
+  // More than six significant digits, and a value past 1e6 that an
+  // exponent format would print in a form parse() rejects.
+  for (const char* spec : {"straggler@10+2*0.1234567891:map", "scheddelay@3*1234567"}) {
+    const FaultPlan plan = FaultPlan::parse(spec);
+    EXPECT_EQ(plan.to_string(), spec);
+    EXPECT_EQ(FaultPlan::parse(plan.to_string()).events()[0].value, plan.events()[0].value);
+  }
+  // Any straggler factor, not just a typed one, parses back to the same double.
+  common::Rng rng(99);
+  for (int i = 0; i < 200; ++i) {
+    FaultEvent event;
+    event.kind = FaultKind::kStraggler;
+    event.slot = 4;
+    event.value = rng.uniform(1e-6, 1.0);
+    event.op = "map";
+    const FaultPlan plan({event});
+    const FaultPlan back = FaultPlan::parse(plan.to_string());
+    ASSERT_EQ(back.size(), 1u);
+    ASSERT_EQ(back.events()[0].value, event.value) << plan.to_string();
+  }
 }
 
 TEST(FaultPlan, SortsEventsBySlot) {
@@ -583,6 +607,22 @@ TEST(FleetFaultPlan, ParsesCanonicalSpecAndRoundTrips) {
   EXPECT_DOUBLE_EQ(bare.events()[0].value, 1.0);
   EXPECT_EQ(bare.events()[0].duration_slots, 1u);
   EXPECT_TRUE(FleetFaultPlan::parse("").empty());
+}
+
+TEST(FleetFaultPlan, ValuesRoundTripExactly) {
+  const char* spec = "budgetcut@16+4*0.33333333333";
+  const FleetFaultPlan plan = FleetFaultPlan::parse(spec);
+  EXPECT_EQ(plan.to_string(), spec);  // all eleven digits, not *0.333333
+  EXPECT_EQ(FleetFaultPlan::parse(plan.to_string()).events()[0].value, plan.events()[0].value);
+
+  FleetFaultEvent third;
+  third.kind = FleetFaultKind::kNetDrop;
+  third.slot = 2;
+  third.duration_slots = 3;
+  third.value = 1.0 / 3.0;
+  const FleetFaultPlan computed({third});
+  EXPECT_EQ(computed.to_string(), "netdrop@2+3*0.3333333333333333");
+  EXPECT_EQ(FleetFaultPlan::parse(computed.to_string()).events()[0].value, 1.0 / 3.0);
 }
 
 TEST(FleetFaultPlan, RejectsMalformedSpecs) {

@@ -204,6 +204,33 @@ TEST(FlowSolver, ZeroSourceRateGivesZeroFlow) {
   EXPECT_DOUBLE_EQ(r.app_throughput, 0.0);
 }
 
+TEST(FlowSolver, ZeroAlphaEdgeWithInfiniteCapacityCarriesNoFlow) {
+  // a splits toward b (alpha 1) and straight to the sink (alpha 0).  With
+  // infinite capacity the alpha-0 edge must carry 0, not 0 * inf = NaN.
+  StreamDag dag;
+  const NodeId src = dag.add_source("src");
+  const NodeId a = dag.add_operator("a");
+  const NodeId b = dag.add_operator("b");
+  const NodeId sink = dag.add_sink("sink");
+  dag.add_edge(src, a, identity_fn());
+  dag.add_edge(a, b, identity_fn(), 1.0);
+  dag.add_edge(a, sink, identity_fn(), 0.0);
+  dag.add_edge(b, sink, identity_fn());
+  dag.validate();
+  const std::size_t a_to_sink = dag.out_edges(a)[1];
+
+  const FlowSolver flow(dag);
+  std::vector<double> rates(dag.node_count(), 0.0);
+  rates[src] = 100.0;
+  const std::vector<double> caps(dag.node_count(), kInf);
+  const FlowResult r = flow.solve(rates, caps);
+  EXPECT_EQ(r.edge_flow[a_to_sink], 0.0);
+  EXPECT_EQ(r.app_throughput, 100.0);
+  EXPECT_EQ(flow.app_throughput(rates, caps), 100.0);
+  EXPECT_EQ(r.node_inflow[sink], 100.0);
+  EXPECT_EQ(r.node_outflow[a], 100.0);
+}
+
 TEST(FlowSolver, RejectsWrongSizes) {
   ChainFixture fx;
   const FlowSolver flow(fx.dag);
