@@ -51,13 +51,18 @@ enum class FaultKind {
 struct FaultEvent {
   FaultKind kind = FaultKind::kPodCrash;
   std::size_t slot = 0;            ///< slot index at which the fault begins
-  std::size_t duration_slots = 1;  ///< straggler/dropout window length
-  /// Pod crash: pods to kill (>= 1; 0 is normalized to 1).
+  /// Window length for straggler, dropout, schedfail and scheddelay; the
+  /// other kinds are instantaneous and keep 1.
+  std::size_t duration_slots = 1;
+  /// Pod crash: pods to kill (whole, >= 1; 0 is normalized to 1).
   /// Straggler: the slowed task's relative rate in (0, 1).
-  /// Checkpoint failure: number of failed attempts before success (>= 1).
+  /// Checkpoint failure: failed attempts before success (whole, >= 1).
   /// Scheduler delay: latency multiplier (> 1).
+  /// Every other kind takes no value and keeps 0.  All values are < 1e9.
   double value = 0.0;
-  std::string op;                  ///< operator name; empty for ckptfail
+  /// Target operator: required for crash, straggler and dropout, empty for
+  /// every other kind; never contains ';'.
+  std::string op;
 
   [[nodiscard]] std::string to_string() const;
 };
@@ -69,7 +74,9 @@ class FaultPlan {
 
   /// Parses the spec grammar above; throws dragster::Error (with the
   /// offending token quoted) on malformed events, unknown kinds, non-integer
-  /// slots/durations, or out-of-range values.
+  /// slots/durations, or out-of-range values.  The constructor applies the
+  /// same per-kind rules to events built in code, so every plan it accepts
+  /// prints (to_string) a spec that parses back to the same events.
   [[nodiscard]] static FaultPlan parse(const std::string& spec);
 
   /// Randomized chaos: each slot in [warmup, horizon) draws each fault kind

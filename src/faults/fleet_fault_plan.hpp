@@ -62,14 +62,18 @@ enum class FleetFaultKind {
 struct FleetFaultEvent {
   FleetFaultKind kind = FleetFaultKind::kNodeCrash;
   std::size_t slot = 0;            ///< slot index at which the event fires
-  std::size_t duration_slots = 1;  ///< nodedrain / budgetcut window length
-  /// Node crash/drain: node count (>= 1; 0 is normalized to 1).
+  /// Window length for nodedrain, budgetcut and the net kinds; nodecrash
+  /// and jobcrash are instantaneous and keep 1.
+  std::size_t duration_slots = 1;
+  /// Node crash/drain: node count (whole, >= 1; 0 is normalized to 1).
   /// Budget cut: fraction of the budget removed, in (0, 1).
   /// Net drop: per-message loss probability, in (0, 1).
   /// Net delay: whole-slot delay multiplier (integer >= 2).
+  /// Job crash and net partition take no value and keep 0.  All values
+  /// are < 1e9.
   double value = 0.0;
   /// jobcrash target (required); net kinds: optional scope (empty = every
-  /// transported job); empty otherwise.
+  /// transported job); empty otherwise.  Never contains ';'.
   std::string job;
 
   [[nodiscard]] std::string to_string() const;
@@ -91,7 +95,8 @@ class FleetFaultPlan {
 
   /// Parses the spec grammar above; throws dragster::Error (offending token
   /// quoted) on malformed events, unknown kinds, non-integer slots/counts,
-  /// or out-of-range values.
+  /// or out-of-range values.  The constructor applies the same per-kind
+  /// rules to events built in code (see FaultPlan::parse).
   [[nodiscard]] static FleetFaultPlan parse(const std::string& spec);
 
   /// Randomized fleet chaos: each slot in [warmup, horizon) draws each kind
