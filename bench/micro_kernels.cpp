@@ -494,6 +494,73 @@ KernelReport bench_lagrangian_value(bool timed) {
   return report;
 }
 
+/// Posterior over the controller's configuration grid (tasks 1..10 x three
+/// cpu options) after observations on that grid.  Reference is predict_batch
+/// on an untracked copy (kernel rows + multi-RHS forward solve, O(n^2) per
+/// candidate); optimized is the same call on a GP that tracks the grid
+/// (O(n) per candidate), as DragsterController::select_configs now runs it.
+KernelReport bench_tracked_posterior(bool timed) {
+  constexpr std::size_t kObs = 256;
+  constexpr std::size_t kDim = 2;
+  std::vector<double> grid;
+  for (double cpu : {0.5, 1.0, 2.0})
+    for (int tasks = 1; tasks <= 10; ++tasks) {
+      grid.push_back(static_cast<double>(tasks));
+      grid.push_back(cpu);
+    }
+  const std::size_t count = grid.size() / kDim;
+  // Same seeded observations on the grid; `track_grid` tracks it first, so
+  // its cached columns grow one element per observation.
+  auto observed_gp = [&](bool track_grid) {
+    gp::GaussianProcess gp(
+        std::make_unique<gp::SquaredExponentialKernel>(2.25, std::vector<double>{2.5, 0.75}),
+        0.0064, 1.0);
+    if (track_grid) gp.track(grid, count);
+    common::Rng rng(31);
+    const auto last = static_cast<std::int64_t>(count) - 1;
+    for (std::size_t i = 0; i < kObs; ++i) {
+      const auto at = static_cast<std::size_t>(rng.uniform_int(0, last));
+      gp.add_observation({grid[at * kDim], grid[at * kDim + 1]}, rng.normal(1.0, 0.2));
+    }
+    return gp;
+  };
+  const gp::GaussianProcess untracked = observed_gp(false);
+  const gp::GaussianProcess tracked = observed_gp(true);
+
+  std::vector<gp::Posterior> ref(count);
+  std::vector<gp::Posterior> opt(count);
+  auto reference = [&] {
+    untracked.predict_batch(grid, count, ref);
+    benchmark::DoNotOptimize(ref.data());
+  };
+  auto optimized = [&] {
+    tracked.predict_batch(grid, count, opt);
+    benchmark::DoNotOptimize(opt.data());
+  };
+  reference();
+  optimized();
+
+  bool identical = true;
+  std::uint64_t checksum = kFnvOffset;
+  for (std::size_t q = 0; q < count; ++q) {
+    identical = identical &&
+                std::bit_cast<std::uint64_t>(ref[q].mean) ==
+                    std::bit_cast<std::uint64_t>(opt[q].mean) &&
+                std::bit_cast<std::uint64_t>(ref[q].variance) ==
+                    std::bit_cast<std::uint64_t>(opt[q].variance);
+    checksum = fnv1a(checksum, opt[q].mean);
+    checksum = fnv1a(checksum, opt[q].variance);
+  }
+  KernelReport report{"tracked_posterior", count};
+  report.bit_identical = identical;
+  report.checksum = checksum;
+  if (timed) {
+    report.reference_ns = time_per_call_ns(reference);
+    report.optimized_ns = time_per_call_ns(optimized);
+  }
+  return report;
+}
+
 // --- fleet slot latency -----------------------------------------------------
 
 /// Compact clone of fig11_fleet's fleet builder (hot/normal/lull thirds over
@@ -622,6 +689,7 @@ int speed_harness(const common::Flags& flags) {
   kernels.push_back(bench_predict_batch(timed));
   kernels.push_back(bench_acquisition_argmax(timed));
   kernels.push_back(bench_lagrangian_value(timed));
+  kernels.push_back(bench_tracked_posterior(timed));
 
   common::Table table({"kernel", "work", "reference ns", "optimized ns", "speedup", "bits"});
   bool all_identical = true;

@@ -296,11 +296,10 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
     bool projection_active = false;
 
     // Enumerate feasible candidates in the exact (cpu outer, tasks inner)
-    // order the scalar loop used, score them with batched posteriors —
-    // chunks fanned out over the pool, each committed to its own slot —
-    // then fold serially with the strict first-max rule.  Posterior bits and
-    // tie-breaks are identical to the scalar loop, so golden traces hold at
-    // any thread count.
+    // order the scalar loop used, score them with one batched posterior over
+    // the GP's tracked grid points, then fold serially with the strict
+    // first-max rule.  Posterior bits and tie-breaks are identical to the
+    // scalar loop.
     struct Candidate {
       cluster::PodSpec spec;
       int tasks = 0;
@@ -330,19 +329,10 @@ void DragsterController::select_configs(const streamsim::JobMonitor& monitor,
     }
     std::vector<gp::Posterior> posts(cands.size());
     if (!cands.empty()) {
-      constexpr std::size_t kChunk = 64;
-      const std::size_t chunks = (cands.size() + kChunk - 1) / kChunk;
-      auto score_chunk = [&](std::size_t c) {
-        const std::size_t begin = c * kChunk;
-        const std::size_t len = std::min(kChunk, cands.size() - begin);
-        model.gp->predict_batch(std::span<const double>(xs).subspan(begin * gp_dim, len * gp_dim),
-                                len, std::span<gp::Posterior>(posts).subspan(begin, len));
-      };
-      parallel::TaskPool& pool = parallel::TaskPool::global();
-      if (chunks > 1 && pool.threads() > 1 && !parallel::TaskPool::in_worker())
-        pool.for_each(chunks, score_chunk);
-      else
-        for (std::size_t c = 0; c < chunks; ++c) score_chunk(c);
+      // The candidates are points of the fixed configuration grid, so the GP
+      // keeps their posteriors current across slots (O(n) each to read).
+      model.gp->track(xs, cands.size());
+      model.gp->predict_batch(xs, cands.size(), posts);
     }
     for (std::size_t c = 0; c < cands.size(); ++c) {
       const gp::Posterior post = posts[c];

@@ -4,9 +4,17 @@
 // vectors; Cholesky is the numerically sound way to do that for SPD kernels.
 // `extend` appends one observation in O(n^2) instead of refactorizing in
 // O(n^3), which keeps per-slot controller cost flat as history grows.
+//
+// The factor L is stored packed lower-triangular, row-major: row i occupies
+// offsets [i(i+1)/2, i(i+1)/2 + i].  Extending appends one row in place, so
+// the factor holds n(n+1)/2 doubles and never copies its old rows.
+// Forward substitution computes row i from rows 0..i only, which is why a
+// caller may keep L^{-1}b current for a fixed b by appending one element per
+// extension (see GaussianProcess::track).
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 
@@ -19,11 +27,14 @@ class Cholesky {
   /// throws dragster::Error if factorization still fails after escalation.
   explicit Cholesky(const Matrix& a, double jitter = 1e-10);
 
-  /// Solves A x = b.
+  /// Solves A x = b: solve_upper(solve_lower(b)).
   [[nodiscard]] Vector solve(const Vector& b) const;
 
   /// Solves L z = b (forward substitution).
   [[nodiscard]] Vector solve_lower(const Vector& b) const;
+
+  /// Solves L^T x = z (back substitution).
+  [[nodiscard]] Vector solve_upper(const Vector& z) const;
 
   /// Forward-substitutes L Z = B for `nrhs` right-hand sides at once.
   /// `b` holds the columns contiguously (column r spans b[r*n, r*n + n)),
@@ -41,14 +52,30 @@ class Cholesky {
   /// The same escalating-jitter policy guards the new pivot.
   void extend(const Vector& col, double diag);
 
-  [[nodiscard]] std::size_t size() const noexcept { return l_.rows(); }
-  [[nodiscard]] const Matrix& factor() const noexcept { return l_; }
+  /// extend() for a caller that already holds the new row: `r` must equal
+  /// solve_lower(col) and `rr` must equal dot(r, r), bit for bit; then the
+  /// factor ends identical to extend(col, diag)'s without the O(n^2) solve.
+  void extend_solved(std::span<const double> r, double rr, double diag);
+
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
+
+  /// Row i of L: its i + 1 entries L(i, 0) .. L(i, i).
+  [[nodiscard]] std::span<const double> row(std::size_t i) const noexcept {
+    return {l_.data() + i * (i + 1) / 2, i + 1};
+  }
+
+  /// The packed rows back to back: n(n+1)/2 doubles.
+  [[nodiscard]] std::span<const double> packed() const noexcept { return l_; }
+
+  /// L as a dense n x n matrix with zeros above the diagonal.
+  [[nodiscard]] Matrix factor() const;
 
   /// log det(A) = 2 * sum log L_ii — used by marginal-likelihood fitting.
   [[nodiscard]] double log_det() const;
 
  private:
-  Matrix l_;
+  std::vector<double> l_;  // packed lower-triangular rows
+  std::size_t n_ = 0;
   double jitter_;
 };
 

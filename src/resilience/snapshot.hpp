@@ -18,10 +18,12 @@
 //   !checksum <fnv1a64 of everything above>
 //
 // Sections appear in the order they were written; keys are unique within a
-// section.  The Cholesky factor of each GP is deliberately NOT serialized:
-// observations are replayed into a fresh posterior on restore, so the factor
-// is rebuilt by the exact same incremental-extension sequence that built it
-// originally (identical floating-point operation order => identical bits).
+// section.  The Cholesky factor of each GP is deliberately NOT serialized,
+// nor is any other derived posterior state (z = L^{-1}(y - m), alpha, the
+// tracked grid columns): observations are replayed into a fresh posterior on
+// restore in one pass, so the factor is rebuilt by the exact same
+// incremental-extension sequence that built it originally (identical
+// floating-point operation order => identical bits).
 #pragma once
 
 #include <cstdint>

@@ -449,7 +449,7 @@ void Engine::micro_step(double dt, std::vector<double>& edge_rate, common::Rng& 
       const double amount = noisy_rate * dt + source_pending_[id];
       source_pending_[id] = 0.0;
       const double in_rate = amount / dt;
-      const std::vector<double> inputs{in_rate};
+      const std::span<const double> inputs(&in_rate, 1);
       double emitted = 0.0;
       for (std::size_t eidx : dag_.out_edges(id)) {
         const dag::Edge& edge = dag_.edge(eidx);
@@ -476,8 +476,12 @@ void Engine::micro_step(double dt, std::vector<double>& edge_rate, common::Rng& 
     // Operator: offer backlog + arrivals, truncate by hidden capacity.
     OperatorState& state = ops_.at(id);
     const auto& in_edges = dag_.in_edges(id);
-    std::vector<double> avail(in_edges.size());
-    std::vector<double> inputs(in_edges.size());
+    std::vector<double>& avail = step_avail_;
+    std::vector<double>& inputs = step_inputs_;
+    std::vector<double>& fresh = step_fresh_;
+    avail.resize(in_edges.size());
+    inputs.resize(in_edges.size());
+    fresh.resize(in_edges.size());
     double arrivals = 0.0;
     for (std::size_t k = 0; k < in_edges.size(); ++k) {
       avail[k] = state.backlog[k] + edge_rate[in_edges[k]];
@@ -491,7 +495,6 @@ void Engine::micro_step(double dt, std::vector<double>& edge_rate, common::Rng& 
 
     // Demand from fresh arrivals only — the "can it keep up with the
     // incoming rate" signal backpressure detection uses.
-    std::vector<double> fresh(in_edges.size());
     for (std::size_t k = 0; k < in_edges.size(); ++k) fresh[k] = edge_rate[in_edges[k]] / dt;
 
     double demand = 0.0;

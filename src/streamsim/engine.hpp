@@ -296,6 +296,11 @@ class Engine final : public ScalingActuator {
   std::map<dag::NodeId, double> source_pending_;  // tuples parked during pauses
   std::vector<StepAccum> accum_;                  // node-indexed, per-slot scratch
   std::vector<double> edge_sum_;                  // edge-indexed, per-slot scratch
+  // Per-operator micro-step scratch (in-edge-indexed), reused so the step
+  // allocates nothing once every operator has been visited.
+  std::vector<double> step_avail_;                // backlog + arrivals per in-edge
+  std::vector<double> step_inputs_;               // avail / dt, the throughput-function input
+  std::vector<double> step_fresh_;                // arrivals / dt, the backpressure signal
   std::size_t processing_steps_ = 0;              // non-paused steps this slot
   std::optional<SlotReport> report_;
   int armed_checkpoint_retries_ = 0;              // fault seam; consumed by next reconfig

@@ -7,7 +7,11 @@
 //  * FlowSolver::solve vs a test-local copy of the stand-alone walk it
 //    replaced (std::min, unclamped infinite capacity) on finite inputs;
 //  * SaddlePointSolver::solve vs a test-local copy of the coordinate search
-//    that evaluates its objective through the taped lagrangian.
+//    that evaluates its objective through the taped lagrangian;
+//  * GaussianProcess with tracked query points (cached O(n) posterior,
+//    extend_solved, incremental z) vs the same GP with nothing tracked;
+//  * Cholesky::extend_solved vs extend, and solve vs a test-local copy of the
+//    dense forward/back substitution it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +19,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,7 +28,11 @@
 #include "common/rng.hpp"
 #include "dag/flow_solver.hpp"
 #include "dag/throughput_fn.hpp"
+#include "gp/gaussian_process.hpp"
+#include "gp/kernel.hpp"
+#include "linalg/cholesky.hpp"
 #include "online/saddle_point.hpp"
+#include "resilience/snapshot.hpp"
 #include "random_dag.hpp"
 
 namespace dragster {
@@ -315,6 +325,236 @@ TEST(SaddlePointDifferential, SolveIsBitIdenticalToTheTapedReference) {
         ASSERT_EQ(bits(fast[i]), bits(slow[i]))
             << "dag " << d << " draw " << draw << " node " << i;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// GP fast path: tracked grid points vs the untracked reference.
+// ---------------------------------------------------------------------------
+
+struct GpSetup {
+  bool matern = false;
+  std::size_t dim = 1;
+  double noise = 0.0064;
+};
+
+gp::GaussianProcess make_gp(const GpSetup& setup) {
+  std::vector<double> lengthscales{2.5};
+  if (setup.dim == 2) lengthscales.push_back(0.75);
+  std::unique_ptr<gp::Kernel> kernel;
+  if (setup.matern)
+    kernel = std::make_unique<gp::Matern52Kernel>(2.25, lengthscales);
+  else
+    kernel = std::make_unique<gp::SquaredExponentialKernel>(2.25, lengthscales);
+  return gp::GaussianProcess(std::move(kernel), setup.noise, 1.0);
+}
+
+/// The controller's configuration grid: tasks 1..10, times cpu options in 2-D.
+std::vector<double> config_grid(std::size_t dim) {
+  std::vector<double> xs;
+  for (double cpu : dim == 2 ? std::vector<double>{0.5, 1.0, 2.0} : std::vector<double>{0.0})
+    for (int tasks = 1; tasks <= 10; ++tasks) {
+      xs.push_back(static_cast<double>(tasks));
+      if (dim == 2) xs.push_back(cpu);
+    }
+  return xs;
+}
+
+/// Corner queries the tracked lookup must tell apart by bit pattern: NaN,
+/// both signed zeros and an off-grid point.
+std::vector<double> corner_points(std::size_t dim) {
+  if (dim == 1) return {kNaN, -0.0, 0.0, 3.5};
+  return {kNaN, 1.0, -0.0, 1.0, 0.0, 1.0, 3.0, -0.0, 3.0, 0.0, 3.5, 1.5};
+}
+
+void expect_same_vector(std::span<const double> fast, std::span<const double> ref,
+                        const std::string& what) {
+  ASSERT_EQ(fast.size(), ref.size()) << what;
+  for (std::size_t i = 0; i < fast.size(); ++i)
+    ASSERT_EQ(bits(fast[i]), bits(ref[i])) << what << " [" << i << "]";
+}
+
+/// Factor, z, alpha and the posterior at every query (predict and
+/// predict_batch) must match bit for bit.
+void expect_same_gp(const gp::GaussianProcess& fast, const gp::GaussianProcess& ref,
+                    std::span<const double> queries, const std::string& where) {
+  SCOPED_TRACE(where);
+  ASSERT_EQ(fast.num_observations(), ref.num_observations());
+  ASSERT_EQ(fast.cholesky() == nullptr, ref.cholesky() == nullptr);
+  if (ref.cholesky() != nullptr)
+    expect_same_vector(fast.cholesky()->packed(), ref.cholesky()->packed(), "factor");
+  expect_same_vector(fast.whitened_targets(), ref.whitened_targets(), "z");
+  expect_same_vector(fast.alpha(), ref.alpha(), "alpha");
+
+  const std::size_t d = fast.kernel().dimension();
+  const std::size_t count = queries.size() / d;
+  std::vector<gp::Posterior> fast_batch(count);
+  std::vector<gp::Posterior> ref_batch(count);
+  fast.predict_batch(queries, count, fast_batch);
+  ref.predict_batch(queries, count, ref_batch);
+  for (std::size_t q = 0; q < count; ++q) {
+    const gp::Posterior fast_one = fast.predict(queries.subspan(q * d, d));
+    const gp::Posterior ref_one = ref.predict(queries.subspan(q * d, d));
+    ASSERT_EQ(bits(fast_one.mean), bits(ref_one.mean)) << "query " << q;
+    ASSERT_EQ(bits(fast_one.variance), bits(ref_one.variance)) << "query " << q;
+    ASSERT_EQ(bits(fast_batch[q].mean), bits(ref_one.mean)) << "batch query " << q;
+    ASSERT_EQ(bits(fast_batch[q].variance), bits(ref_one.variance)) << "batch query " << q;
+    ASSERT_EQ(bits(ref_batch[q].mean), bits(ref_one.mean)) << "reference batch " << q;
+  }
+}
+
+/// Draws the next observation: usually a grid point (the controller's
+/// case, so extend_solved runs), sometimes an off-grid one.
+std::vector<double> draw_input(common::Rng& rng, std::size_t dim) {
+  std::vector<double> x{static_cast<double>(rng.uniform_int(1, 10))};
+  if (rng.uniform() < 0.15) x[0] += 0.25;
+  constexpr double kCpu[] = {0.5, 1.0, 2.0};
+  if (dim == 2) x.push_back(kCpu[rng.uniform_int(0, 2)]);
+  return x;
+}
+
+TEST(GpTrackedDifferential, SeededSequencesMatchTheUntrackedGp) {
+  const GpSetup setups[] = {{false, 1}, {true, 1}, {false, 2}, {true, 2}};
+  std::uint64_t seed = 9100;
+  for (const GpSetup& setup : setups) {
+    for (int run = 0; run < 3; ++run) {
+      common::Rng rng(++seed);
+      const std::vector<double> grid = config_grid(setup.dim);
+      const std::vector<double> corners = corner_points(setup.dim);
+      std::vector<double> queries = grid;
+      queries.insert(queries.end(), corners.begin(), corners.end());
+      const std::size_t d = setup.dim;
+
+      gp::GaussianProcess ref = make_gp(setup);
+      gp::GaussianProcess early = make_gp(setup);  // tracks before any observation
+      gp::GaussianProcess late = make_gp(setup);   // tracks after the 50th
+      early.track(grid, grid.size() / d);
+      early.track(corners, corners.size() / d);
+      early.track(grid, grid.size() / d);  // idempotent
+      std::unique_ptr<gp::GaussianProcess> copied;
+      gp::GaussianProcess assigned = make_gp(setup);
+
+      for (int step = 1; step <= 120; ++step) {
+        const std::vector<double> x = draw_input(rng, d);
+        const double y = rng.normal(1.0, 0.2);
+        ref.add_observation(x, y);
+        early.add_observation(x, y);
+        late.add_observation(x, y);
+        if (copied) copied->add_observation(x, y);
+        if (step > 70) assigned.add_observation(x, y);
+
+        if (step == 50) late.track(grid, grid.size() / d);
+        if (step == 30) copied = std::make_unique<gp::GaussianProcess>(early);
+        if (step == 70) assigned = early;
+        if (step == 90) {
+          ref.reset();
+          early.reset();
+          late.reset();
+          copied->reset();
+          assigned.reset();
+          expect_same_gp(early, ref, queries, "after reset");
+        }
+        if (step % 10 == 0 || step < 4) {
+          const std::string where = "seed " + std::to_string(seed) + " step " + std::to_string(step);
+          expect_same_gp(early, ref, queries, where + " early");
+          expect_same_gp(late, ref, queries, where + " late");
+          if (copied) expect_same_gp(*copied, ref, queries, where + " copy");
+          if (step >= 70) expect_same_gp(assigned, ref, queries, where + " assigned");
+        }
+      }
+
+      // A snapshot of the reference restored into a GP that tracks points
+      // before the load: the one-pass restore extends the tracked columns.
+      resilience::SnapshotWriter writer;
+      writer.begin_section("gp");
+      ref.save_state(writer);
+      gp::GaussianProcess restored = make_gp(setup);
+      restored.track(grid, grid.size() / d);
+      resilience::SnapshotReader reader(writer.str());
+      reader.enter_section("gp");
+      restored.load_state(reader);
+      expect_same_gp(restored, ref, queries, "restored");
+    }
+  }
+}
+
+TEST(GpTrackedDifferential, RepeatedInputsThroughTheJitterBranch) {
+  // A noise variance far below the signal's ulp makes every repeat of an
+  // input a zero pivot, so Cholesky's escalating jitter guards each extend.
+  const GpSetup setup{false, 1, 1e-300};
+  const std::vector<double> grid = config_grid(1);
+  gp::GaussianProcess ref = make_gp(setup);
+  gp::GaussianProcess fast = make_gp(setup);
+  fast.track(grid, grid.size());
+  const double inputs[] = {3.0, 3.0, 7.0, 3.0, 7.0, 7.0};
+  for (double x : inputs) {
+    ref.add_observation({x}, 1.0 + 0.01 * x);
+    fast.add_observation({x}, 1.0 + 0.01 * x);
+    expect_same_gp(fast, ref, grid, "x=" + std::to_string(x));
+  }
+  // The jitter branch really ran: some pivot is far below sqrt(signal).
+  const linalg::Cholesky& chol = *ref.cholesky();
+  double smallest = kInf;
+  for (std::size_t i = 0; i < chol.size(); ++i) smallest = std::min(smallest, chol.row(i)[i]);
+  EXPECT_LT(smallest, 1e-3);
+}
+
+// ---------------------------------------------------------------------------
+// Cholesky: the packed factor's fast entry points vs their references.
+// ---------------------------------------------------------------------------
+
+linalg::Matrix random_spd(common::Rng& rng, std::size_t n) {
+  linalg::Matrix b(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) b(r, c) = rng.normal();
+  linalg::Matrix a = b * b.transposed();
+  for (std::size_t i = 0; i < n; ++i) a(i, i) += 0.5;
+  return a;
+}
+
+/// The dense solve the packed factor replaced: forward then back
+/// substitution over the n x n factor.
+linalg::Vector dense_solve(const linalg::Matrix& l, const linalg::Vector& b) {
+  const std::size_t n = l.rows();
+  linalg::Vector z(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double value = b[i];
+    for (std::size_t k = 0; k < i; ++k) value -= l(i, k) * z[k];
+    z[i] = value / l(i, i);
+  }
+  linalg::Vector x(n);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double value = z[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) value -= l(k, ii) * x[k];
+    x[ii] = value / l(ii, ii);
+  }
+  return x;
+}
+
+TEST(CholeskyDifferential, ExtendSolvedAndSolveMatchTheirReferences) {
+  common::Rng rng(777);
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 2 + static_cast<std::size_t>(trial) % 12;
+    const linalg::Matrix a = random_spd(rng, n + 1);
+    linalg::Matrix lead(n, n);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c) lead(r, c) = a(r, c);
+    linalg::Vector col(n);
+    for (std::size_t r = 0; r < n; ++r) col[r] = a(r, n);
+
+    linalg::Cholesky by_extend(lead);
+    linalg::Cholesky by_solved(lead);
+    by_extend.extend(col, a(n, n));
+    const linalg::Vector r = by_solved.solve_lower(col);
+    by_solved.extend_solved(r, linalg::dot(r, r), a(n, n));
+    expect_same_vector(by_solved.packed(), by_extend.packed(), "trial " + std::to_string(trial));
+
+    linalg::Vector b(n + 1);
+    for (double& v : b) v = rng.uniform(-2.0, 2.0);
+    expect_same_vector(by_extend.solve(b), dense_solve(by_extend.factor(), b),
+                       "solve, trial " + std::to_string(trial));
+    expect_same_vector(by_extend.solve(b), by_extend.solve_upper(by_extend.solve_lower(b)),
+                       "solve_upper(solve_lower), trial " + std::to_string(trial));
   }
 }
 

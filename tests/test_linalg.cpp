@@ -62,15 +62,6 @@ TEST(Matrix, TransposeRoundTrip) {
     for (std::size_t c = 0; c < a.cols(); ++c) EXPECT_DOUBLE_EQ(att(r, c), a(r, c));
 }
 
-TEST(Matrix, GrowSymmetricPreservesBlock) {
-  Matrix m{{1.0, 2.0}, {2.0, 5.0}};
-  m.grow_symmetric();
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_DOUBLE_EQ(m(1, 1), 5.0);
-  EXPECT_DOUBLE_EQ(m(2, 2), 0.0);
-  EXPECT_DOUBLE_EQ(m(0, 2), 0.0);
-}
-
 TEST(VectorOps, DotAndNorm) {
   const Vector a{3.0, 4.0};
   EXPECT_DOUBLE_EQ(dot(a, a), 25.0);

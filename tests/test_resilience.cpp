@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -194,6 +195,106 @@ TEST(Snapshot, GaussianProcessReplayIsBitExact) {
   const auto p_back = restored.predict(std::vector<double>{6.5});
   EXPECT_EQ(bits(p_back.mean), bits(p_orig.mean));
   EXPECT_EQ(bits(p_back.variance), bits(p_orig.variance));
+}
+
+TEST(Snapshot, OnePassRestoreMatchesTheLiveTrackedGp) {
+  // The live GP tracks the configuration grid, as the controller's does; the
+  // restored one tracks part of it before the load (so the one-pass restore
+  // extends those columns) and the rest after.  Factor, z, alpha and every
+  // posterior bit must match, at tracked and untracked points alike.
+  auto make_gp = [] {
+    return gp::GaussianProcess(
+        std::make_unique<gp::Matern52Kernel>(1.5 * 1.5, std::vector<double>{2.5, 0.75}),
+        0.01, 1.0);
+  };
+  std::vector<double> grid;
+  for (double cpu : {0.5, 1.0, 2.0})
+    for (int tasks = 1; tasks <= 10; ++tasks) {
+      grid.push_back(static_cast<double>(tasks));
+      grid.push_back(cpu);
+    }
+  const std::size_t grid_points = grid.size() / 2;
+  gp::GaussianProcess live = make_gp();
+  live.track(grid, grid_points);
+  for (int i = 0; i < 90; ++i) {
+    const double tasks = static_cast<double>(1 + (i * 7) % 10);
+    const double cpu = i % 3 == 0 ? 0.5 : (i % 3 == 1 ? 1.0 : 2.0);
+    live.add_observation({tasks, cpu}, 1.0 + 0.05 * tasks - 0.02 * cpu + 0.001 * i);
+  }
+
+  SnapshotWriter writer;
+  writer.begin_section("gp");
+  live.save_state(writer);
+  gp::GaussianProcess restored = make_gp();
+  restored.track(std::span<const double>(grid).first(grid.size() / 2), grid_points / 2);
+  SnapshotReader reader(writer.str());
+  reader.enter_section("gp");
+  restored.load_state(reader);
+  restored.track(grid, grid_points);
+
+  ASSERT_EQ(restored.num_observations(), live.num_observations());
+  const std::span<const double> packed_live = live.cholesky()->packed();
+  const std::span<const double> packed_back = restored.cholesky()->packed();
+  ASSERT_EQ(packed_back.size(), packed_live.size());
+  for (std::size_t i = 0; i < packed_live.size(); ++i)
+    ASSERT_EQ(bits(packed_back[i]), bits(packed_live[i])) << "factor entry " << i;
+  for (std::size_t i = 0; i < live.num_observations(); ++i) {
+    ASSERT_EQ(bits(restored.whitened_targets()[i]), bits(live.whitened_targets()[i])) << i;
+    ASSERT_EQ(bits(restored.alpha()[i]), bits(live.alpha()[i])) << i;
+  }
+
+  std::vector<double> queries = grid;
+  for (double v : {2.5, 1.5, 0.0, 0.75, 11.0, 2.0}) queries.push_back(v);  // off the grid
+  const std::size_t count = queries.size() / 2;
+  std::vector<gp::Posterior> batch_live(count);
+  std::vector<gp::Posterior> batch_back(count);
+  live.predict_batch(queries, count, batch_live);
+  restored.predict_batch(queries, count, batch_back);
+  for (std::size_t q = 0; q < count; ++q) {
+    const std::span<const double> x = std::span<const double>(queries).subspan(q * 2, 2);
+    const gp::Posterior p_live = live.predict(x);
+    const gp::Posterior p_back = restored.predict(x);
+    EXPECT_EQ(bits(p_back.mean), bits(p_live.mean)) << "query " << q;
+    EXPECT_EQ(bits(p_back.variance), bits(p_live.variance)) << "query " << q;
+    EXPECT_EQ(bits(batch_back[q].mean), bits(p_live.mean)) << "batch query " << q;
+    EXPECT_EQ(bits(batch_back[q].variance), bits(p_live.variance)) << "batch query " << q;
+    EXPECT_EQ(bits(batch_live[q].mean), bits(p_live.mean)) << "live batch query " << q;
+  }
+}
+
+TEST(Snapshot, FailedGpRestoreLeavesTheGpUnchanged) {
+  // The second target is NaN: the replay throws part way through.
+  auto make_gp = [] {
+    return gp::GaussianProcess(
+        std::make_unique<gp::SquaredExponentialKernel>(1.5 * 1.5, std::vector<double>{2.5}),
+        0.01, 1.0);
+  };
+  gp::GaussianProcess good = make_gp();
+  good.add_observation({2.0}, 1.2);
+  good.add_observation({5.0}, 1.5);
+  good.add_observation({6.0}, 1.6);
+  SnapshotWriter writer;
+  writer.begin_section("gp");
+  writer.field("gp_dim", std::uint64_t{1});
+  writer.field("gp_count", std::uint64_t{2});
+  const std::vector<double> inputs{1.0, 3.0};
+  writer.field("gp_inputs", std::span<const double>(inputs));
+  const std::vector<double> targets{1.1, std::numeric_limits<double>::quiet_NaN()};
+  writer.field("gp_targets", std::span<const double>(targets));
+  writer.field("gp_noise", 0.01);
+  writer.field("gp_prior_mean", 1.0);
+
+  gp::GaussianProcess target = good;
+  SnapshotReader reader(writer.str());
+  reader.enter_section("gp");
+  EXPECT_THROW(target.load_state(reader), dragster::Error);
+  ASSERT_EQ(target.num_observations(), good.num_observations());
+  for (double x : {0.5, 2.0, 4.5}) {
+    EXPECT_EQ(bits(target.predict(std::vector<double>{x}).mean),
+              bits(good.predict(std::vector<double>{x}).mean));
+    EXPECT_EQ(bits(target.predict(std::vector<double>{x}).variance),
+              bits(good.predict(std::vector<double>{x}).variance));
+  }
 }
 
 // ---------------------------------------------------------------------------
